@@ -177,7 +177,7 @@ type session struct {
 	connID      int
 	floorLevel  int
 	qosMgr      *qos.Manager
-	senders     map[string]*sender
+	senders     []*sender // flow-scenario order, so per-stream loops replay identically
 	ssrcToID    map[uint32]string
 	doc         string
 	suspended   bool
@@ -198,6 +198,17 @@ type session struct {
 	shard       atomic.Int32
 	lwPos       wheelPos
 	renegQueued atomic.Bool
+}
+
+// sender returns the session's sender of stream id, or nil. A session
+// carries only a few streams, so a linear scan suffices.
+func (sess *session) sender(id string) *sender {
+	for _, snd := range sess.senders {
+		if snd.stream.ID == id {
+			return snd
+		}
+	}
+	return nil
 }
 
 type pendingSearch struct {

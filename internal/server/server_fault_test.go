@@ -112,9 +112,9 @@ func TestSuspendGraceExpiryReleasesAdmission(t *testing.T) {
 	}
 	snds := sess.senders
 	unlock()
-	for id, snd := range snds {
+	for _, snd := range snds {
 		if !snd.isPaused() {
-			t.Fatalf("sender %s not paused while suspended", id)
+			t.Fatalf("sender %s not paused while suspended", snd.stream.ID)
 		}
 	}
 	h.clk.RunFor(3 * time.Second) // grace (2s) runs out
@@ -158,9 +158,9 @@ func TestResumeBeforeExpiryRestoresSenders(t *testing.T) {
 	}
 	snds := sess.senders
 	unlock()
-	for id, snd := range snds {
+	for _, snd := range snds {
 		if snd.isPaused() {
-			t.Fatalf("sender %s still paused after resume", id)
+			t.Fatalf("sender %s still paused after resume", snd.stream.ID)
 		}
 	}
 	if r := h.srv.Admission().Reserved(); r != reserved {
@@ -290,9 +290,9 @@ func TestMediaOpsIgnoredWhileSuspended(t *testing.T) {
 	}
 	snds := sess.senders
 	unlock()
-	for id, snd := range snds {
+	for _, snd := range snds {
 		if !snd.isPaused() {
-			t.Fatalf("sender %s woken by a media op while suspended", id)
+			t.Fatalf("sender %s woken by a media op while suspended", snd.stream.ID)
 		}
 	}
 	// The legitimate resume path still works afterwards.

@@ -294,7 +294,7 @@ func TestSenderRestartReseedsPayloadTypeFromLevel(t *testing.T) {
 		unlock()
 		t.Fatal("session gone")
 	}
-	snd := sess.senders["v"]
+	snd := sess.sender("v")
 	unlock()
 	// Restart (the reload path) and inspect the fresh RTP state before the
 	// next emit: the paced path re-derives the payload type per frame, so a
@@ -321,7 +321,7 @@ func TestSenderPauseResumeDisabledNoOp(t *testing.T) {
 
 	h.send(protocol.MsgDisableMedia, protocol.MediaOp{StreamID: "v"})
 	sess, unlock := h.srv.lockedSession(fakeClient)
-	snd := sess.senders["v"]
+	snd := sess.sender("v")
 	unlock()
 	snd.mu.Lock()
 	origin0 := snd.origin
