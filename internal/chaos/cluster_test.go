@@ -21,6 +21,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/qos"
+	"repro/internal/rtp"
+	"repro/internal/scenario"
 	"repro/internal/server"
 )
 
@@ -394,3 +396,98 @@ func TestClusterFailoverLandsOnSharedFlow(t *testing.T) {
 		t.Fatalf("b playout starved after a's failover: %+v", rep.Streams["n"])
 	}
 }
+
+// TestLeftLessonSilentAfterReturnToOrigin has a viewer leave a lesson on s1
+// for a document on s2 and end up back on s1: by a handoff whose target is
+// down, and by a cross-server link whose target redirects it back. The
+// browser tore the left lesson's presentation down when it left, so once it
+// is back not one frame of that lesson may go on the wire.
+func TestLeftLessonSilentAfterReturnToOrigin(t *testing.T) {
+	const other = `<TITLE>other lecture</TITLE>
+<AU_VI SOURCE=au/o SOURCE=vi/ov ID=o ID=ov STARTIME=0 DURATION=90> </AU_VI>`
+	for _, tc := range []struct {
+		name      string
+		placement server.Placement
+		watermark int
+		blockers  int // sessions held on s2 before the viewer leaves s1
+		leave     func(w *clusterWorld, c *client.Client)
+	}{
+		{
+			name:      "handoff to a downed target",
+			placement: server.Placement{"lecture": {"s1"}, "other": {"s2"}},
+			leave: func(w *clusterWorld, c *client.Client) {
+				w.net.SetHostDown("s2", true)
+				c.RequestDoc("other")
+			},
+		},
+		{
+			name:      "link redirected back",
+			placement: server.Placement{"lecture": {"s1", "s2"}, "other": {"s1", "s2"}},
+			watermark: 2,
+			blockers:  2,
+			leave: func(w *clusterWorld, c *client.Client) {
+				c.FollowLink(scenario.Link{Target: "other", Host: "s2"})
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newClusterWorld(t, tc.placement,
+				map[string]string{"lecture": lesson90, "other": other},
+				server.Options{Grace: 10 * time.Second, HeartbeatEvery: 500 * time.Millisecond,
+					LivenessMisses: 3, SessionWatermark: tc.watermark},
+				"s1", "s2")
+			for i := 0; i < tc.blockers; i++ {
+				w.newClient(t, fmt.Sprintf("blocker%d", i), fastClient()).Connect("s2")
+				w.clk.RunFor(time.Second)
+			}
+			copts := fastClient()
+			copts.Peers = []string{"s1", "s2"}
+			c := w.newClient(t, "laptop", copts)
+			c.Connect("s1")
+			w.clk.RunFor(time.Second)
+			c.RequestDoc("lecture")
+			w.clk.RunFor(3 * time.Second)
+			if c.State("s1") != protocol.StViewing {
+				t.Fatalf("state = %v, want viewing on s1", c.State("s1"))
+			}
+
+			// The left lesson's SSRCs are the ones s1 has streamed so far. A
+			// frame already paced before the leave reached s1 (a LAN hop,
+			// well under 100 ms) is not stale; anything later is.
+			left := map[uint32]bool{}
+			var leftAt time.Time
+			stale := 0
+			w.net.Sniffer = func(p netsim.Packet) {
+				if p.From.Host() != "s1" || p.To.Host() != "laptop" || isRTCP(p.Payload) {
+					return
+				}
+				pkt, err := rtp.Unmarshal(p.Payload)
+				if err != nil {
+					return
+				}
+				if leftAt.IsZero() {
+					left[pkt.SSRC] = true
+				} else if left[pkt.SSRC] && p.SentAt.Sub(leftAt) > 100*time.Millisecond {
+					stale++
+				}
+			}
+			w.clk.RunFor(time.Second)
+			if len(left) == 0 {
+				t.Fatal("no lesson media seen before leaving")
+			}
+			leftAt = w.clk.Now()
+			tc.leave(w, c)
+			w.clk.RunFor(10 * time.Second)
+			if c.CurrentServer() != "s1" || c.State("s1") == protocol.StSuspended {
+				t.Fatalf("viewer on %q (s1 state %v) after leaving, want back on s1 (err %q)",
+					c.CurrentServer(), c.State("s1"), c.LastError())
+			}
+			if stale != 0 {
+				t.Fatalf("%d packets of the left lesson sent after the viewer left it", stale)
+			}
+		})
+	}
+}
+
+// isRTCP reports whether a media-port datagram is RTCP rather than RTP.
+func isRTCP(b []byte) bool { return len(b) >= 2 && b[1] >= 200 && b[1] <= 204 }

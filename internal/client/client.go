@@ -699,6 +699,10 @@ func (c *Client) followLinkLocked(link scenario.Link) {
 	}
 	c.teardownPresentationLocked()
 	from := c.current
+	// Stop the torn-down presentation's media before the suspend parks it:
+	// a user pause survives the suspend, so a return to this server does
+	// not wake streams nobody plays.
+	c.send(from, protocol.MsgPause, protocol.MediaOp{})
 	c.logEvent(fmt.Sprintf("suspend %s → %s", from, link.Host))
 	c.sendReqLocked(from, protocol.MsgSuspend, protocol.Suspend{},
 		time.Time{}, c.suspendAbandonedLocked)

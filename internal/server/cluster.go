@@ -154,8 +154,12 @@ func (s *Server) redirectTargets(candidates []string) []string {
 // suspends the session here behind the existing grace machinery (so the
 // client can fall back if every replica is down), mints a signed handoff
 // ticket bound to user+document, and points the client at the least-loaded
-// replica. Caller holds sh.mu; it is released here before the reply.
+// replica. The lesson being left is stopped, not parked: the browser tears
+// its presentation down on the handoff, so a fallback to this server must
+// not wake its streams. Caller holds sh.mu; it is released here before the
+// reply.
 func (s *Server) issueHandoff(sh *ctrlShard, sess *session, from netsim.Addr, reqID uint32, doc string, holders []string) {
+	s.stopSendersLocked(sess)
 	tok := s.suspendSessionLocked(sh, sess)
 	user, class := sess.user, sess.class
 	sh.mu.Unlock()
