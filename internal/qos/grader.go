@@ -224,8 +224,8 @@ func (m *Manager) Level(id string) (level int, stopped bool) {
 // LevelMatches reports whether the stream currently runs at exactly the
 // given level and is not cut off. This is the shared-flow reconciliation
 // predicate: a session may ride a shared flow only while its own grading
-// state agrees with the flow's fixed encode level, and must detach to a
-// private sender the moment they diverge. Read-locked like Level.
+// state agrees with the flow's fixed encode level, and must fork onto a
+// private flow the moment they diverge. Read-locked like Level.
 func (m *Manager) LevelMatches(id string, level int) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

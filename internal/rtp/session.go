@@ -87,8 +87,8 @@ func (s *Sender) Seq() uint16 { return s.seq }
 // Fork returns an independent copy of the sender's full transmission state:
 // same SSRC, payload type, next sequence number and report counters. A
 // receiver that switches from the original to the fork (or vice versa) sees
-// one seamless stream — this is how a shared-flow subscriber detaches onto a
-// private sender without a sequence or timestamp discontinuity.
+// one seamless stream — this is how a shared-flow subscriber forks onto a
+// private flow without a sequence or timestamp discontinuity.
 func (s *Sender) Fork() *Sender {
 	cp := *s
 	return &cp

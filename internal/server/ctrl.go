@@ -447,7 +447,7 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 		ssrc := s.nextSSRC.Add(1)
 		port := base + i
 		to := netsim.MakeAddr(clientHost, port)
-		snd := newSender(s, sess.qosMgr, f, src, ssrc, to, origin)
+		snd := &sender{srv: s, stream: f.Stream, sendAt: f.SendAt, src: src, qos: sess.qosMgr, to: to}
 		sess.senders = append(sess.senders, snd)
 		sess.qosMgr.Register(qos.StreamConfig{
 			ID:     f.Stream.ID,
@@ -457,14 +457,15 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 			Floor:  minInt(sess.floorLevel, src.Levels()-1),
 		})
 		// Shared fan-out: a time-sensitive stream whose session grades at
-		// the flow's level rides the document's shared flow — the announce
-		// then carries the FLOW's SSRC, and the client receives the same
-		// packets as every other subscriber. Late joiners get a catch-up
-		// patch from the flow's segment cache (see sharedflow.go).
+		// the flow's level rides the document's registered flow — the
+		// announce then carries the FLOW's SSRC, and the client receives the
+		// same packets as every other subscriber. Late joiners get a
+		// catch-up patch from the flow's segment cache (see flow.go). Any
+		// other stream gets a private flow of one.
 		if s.opts.SharedFlows && f.Stream.Type.TimeSensitive() && sess.qosMgr.LevelMatches(f.Stream.ID, 0) {
-			fl := s.flows.attach(s, flowKey{doc: m.Name, stream: f.Stream.ID, level: 0}, f, src, snd, to, origin)
-			snd.attachShared(fl)
-			ssrc = fl.ssrc
+			ssrc = s.flows.attach(flowKey{doc: m.Name, stream: f.Stream.ID, level: 0}, snd, origin).ssrc
+		} else {
+			snd.fl.Store(newFlow(snd, ssrc, 0, origin, sess.qosMgr))
 		}
 		sess.ssrcToID[ssrc] = f.Stream.ID
 		announces = append(announces, protocol.StreamAnnounce{
@@ -505,8 +506,8 @@ func (s *Server) onDocRequest(from netsim.Addr, reqID uint32, m protocol.DocRequ
 
 // sendSenderReports emits one RTCP SR per active media sender so receivers
 // can map RTP timestamps to the sender's wall clock (RFC 1889 §6.3). The
-// shard lock covers only the session snapshot; report construction walks
-// each sender under that sender's own lock and the sends happen lock-free.
+// shard lock covers only the session snapshot; report construction takes
+// each stream's flow lock and the sends happen lock-free.
 func (s *Server) sendSenderReports(sess *session) {
 	sh, _ := s.lockSession(sess)
 	if sess.suspended || sh.byID[sess.id] != sess {
@@ -518,10 +519,7 @@ func (s *Server) sendSenderReports(sess *session) {
 	if mediaTime < 0 {
 		mediaTime = 0
 	}
-	snds := make([]*sender, 0, len(sess.senders))
-	for _, snd := range sess.senders {
-		snds = append(snds, snd)
-	}
+	snds := append([]*sender(nil), sess.senders...)
 	if len(snds) > 0 {
 		sess.srTimer = s.clk.AfterFunc(5*time.Second, func() { s.sendSenderReports(sess) })
 	}
@@ -588,23 +586,19 @@ func (s *Server) onFeedback(from netsim.Addr, m protocol.Feedback) {
 		return
 	}
 	// Per-flow vs per-session level reconciliation: any grading action moves
-	// the acted stream's session level away from the shared flow's fixed
-	// encode level (upgrades back toward it only happen on already-private
-	// senders), so the subscriber detaches onto its private sender — the
+	// the acted stream's session level away from the registered flow's
+	// fixed encode level (upgrades back toward it only happen on already
+	// private flows), so the subscriber forks onto a private flow — the
 	// other subscribers never notice.
-	sh.mu.RLock()
-	var diverged []*sender
+	sh.mu.Lock()
 	if cur, live := sh.sessions[string(from)]; live && cur == sess {
 		for _, id := range acted {
 			if snd := sess.sender(id); snd != nil && !sess.qosMgr.LevelMatches(id, 0) {
-				diverged = append(diverged, snd)
+				snd.diverge()
 			}
 		}
 	}
-	sh.mu.RUnlock()
-	for _, snd := range diverged {
-		snd.detachShared()
-	}
+	sh.mu.Unlock()
 }
 
 func (s *Server) onMediaOp(from netsim.Addr, mt protocol.MsgType, m protocol.MediaOp) {

@@ -276,46 +276,34 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 		return res, fmt.Errorf("dataplane: %d sessions stood up, want %d", got, cfg.Sessions)
 	}
 
-	// Collect the senders. Time-sensitive ones are the sustained load; the
-	// stills finish after their single frame.
-	var all, ts []*sender
+	// Collect the senders.
+	var all []*sender
 	for i := range srv.shards {
 		sh := &srv.shards[i]
 		sh.mu.Lock()
 		for _, sess := range sh.sessions {
-			for _, snd := range sess.senders {
-				all = append(all, snd)
-				if snd.stream.Type.TimeSensitive() {
-					ts = append(ts, snd)
-				}
-			}
+			all = append(all, sess.senders...)
 		}
 		sh.mu.Unlock()
 	}
 	res.Senders = len(all)
 
-	// Collect the shared flows the document requests stood up. With shared
-	// flows off (or every session on its own document) this is empty and
-	// every sender paces privately.
-	var flows []*sharedFlow
-	srv.flows.mu.Lock()
-	for _, fl := range srv.flows.flows {
-		flows = append(flows, fl)
+	// Collect the distinct flows carrying those senders: a registered flow
+	// serves all of its subscribers, every other sender has a private flow
+	// of one.
+	var flows []*flow
+	seen := map[*flow]bool{}
+	for _, snd := range all {
+		if fl := snd.fl.Load(); !seen[fl] {
+			seen[fl] = true
+			flows = append(flows, fl)
+		}
 	}
-	srv.flows.mu.Unlock()
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].key.doc != flows[j].key.doc {
-			return flows[i].key.doc < flows[j].key.doc
+	for _, st := range srv.FlowStats() {
+		res.Flows++
+		if st.Subscribers > res.MaxFlowSubscribers {
+			res.MaxFlowSubscribers = st.Subscribers
 		}
-		return flows[i].key.stream < flows[j].key.stream
-	})
-	res.Flows = len(flows)
-	for _, fl := range flows {
-		fl.mu.Lock()
-		if n := len(fl.subs); n > res.MaxFlowSubscribers {
-			res.MaxFlowSubscribers = n
-		}
-		fl.mu.Unlock()
 	}
 
 	sumStats := func() (frames, packets int64, bytes int64) {
@@ -327,31 +315,21 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 		}
 		return
 	}
-	// sumEncodes counts time-sensitive frames encoded+assembled: one per
-	// flow frame regardless of subscriber count, plus each private
-	// time-sensitive sender's own frames. sumDelivered counts the same
-	// frames once per subscriber actually fanned (a shared sender's stats
-	// delegate to its flow-share). Equal when nothing is shared.
-	sumEncodes := func() int64 {
-		var e int64
+	// sumFlows counts time-sensitive frames encoded+assembled — one per
+	// flow frame regardless of subscriber count — and the same frames once
+	// per subscriber sent. The two are equal when nothing is shared. The
+	// stills finish after their single frame, so the sustained load is the
+	// time-sensitive streams.
+	sumFlows := func() (encodes, delivered int64) {
 		for _, fl := range flows {
-			fl.mu.Lock()
-			e += int64(fl.framesSent)
-			fl.mu.Unlock()
-		}
-		for _, snd := range ts {
-			if !snd.isShared() {
-				e += int64(snd.stats().frames)
+			if fl.stream.Type.TimeSensitive() {
+				fl.mu.Lock()
+				encodes += int64(fl.framesSent)
+				delivered += fl.delivered
+				fl.mu.Unlock()
 			}
 		}
-		return e
-	}
-	sumDelivered := func() int64 {
-		var d int64
-		for _, snd := range ts {
-			d += int64(snd.stats().frames)
-		}
-		return d
+		return
 	}
 
 	// memDelta samples the process-wide allocation counters around fn. The
@@ -367,55 +345,45 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 	}
 
 	// Paced phase: advance the virtual clock and let the flow-scenario
-	// timers emit. Everything that fires in this window is a sender timer,
+	// timers emit. Everything that fires in this window is a flow timer,
 	// so the lock-meter delta is exactly the emit path's shard-lock footprint —
 	// and the allocation delta is the pacing loop's footprint.
 	preFrames, _, _ := sumStats()
-	preEncodes, preDelivered := sumEncodes(), sumDelivered()
+	preEncodes, preDelivered := sumFlows()
 	preAcqs, _ := srv.LockStats()
 	pacedMallocs, pacedBytes := memDelta(func() { clk.Advance(cfg.PacedWindow) })
 	postAcqs, _ := srv.LockStats()
 	pacedFrames, _, _ := sumStats()
 	res.PacedFrames = pacedFrames - preFrames
 	res.PacedLockAcqs = postAcqs - preAcqs
-	res.PacedEncodes = sumEncodes() - preEncodes
-	res.PacedDelivered = sumDelivered() - preDelivered
+	postEncodes, postDelivered := sumFlows()
+	res.PacedEncodes = postEncodes - preEncodes
+	res.PacedDelivered = postDelivered - preDelivered
 	if res.PacedFrames > 0 {
-		// PacedFrames already counts per-subscriber deliveries (a shared
-		// sender's stats are its flow-share), so this IS allocations per
+		// PacedFrames already counts per-subscriber deliveries (a sender's
+		// stats are its share of its flow), so this IS allocations per
 		// delivered frame — the fan-out gate divides the one shared
 		// assembly across every subscriber it reached.
 		res.PacedAllocsPerFrame = float64(pacedMallocs) / float64(res.PacedFrames)
 		res.PacedAllocBytesPerFrame = float64(pacedBytes) / float64(res.PacedFrames)
 	}
 
-	// Pump phase: every pacing unit emits back-to-back from its own
-	// goroutine. A shared flow pumps once for all of its subscribers —
-	// that's the point — so the units are the flows plus every private
-	// sender.
-	type pumper interface{ pump(int) []time.Duration }
-	var units []pumper
-	for _, fl := range flows {
-		units = append(units, fl)
-	}
-	for _, snd := range all {
-		if !snd.isShared() {
-			units = append(units, snd)
-		}
-	}
+	// Pump phase: every flow emits back-to-back from its own goroutine. A
+	// registered flow pumps once for all of its subscribers — that's the
+	// point.
 	pumpStartFrames, pumpStartPackets, pumpStartBytes := sumStats()
-	pumpStartEncodes, pumpStartDelivered := sumEncodes(), sumDelivered()
-	times := make([][]time.Duration, len(units))
+	pumpStartEncodes, pumpStartDelivered := sumFlows()
+	times := make([][]time.Duration, len(flows))
 	var wg sync.WaitGroup
 	var elapsed time.Duration
 	pumpMallocs, pumpAllocBytes := memDelta(func() {
 		t0 := time.Now()
-		for i, u := range units {
+		for i, fl := range flows {
 			wg.Add(1)
-			go func(i int, u pumper) {
+			go func(i int, fl *flow) {
 				defer wg.Done()
-				times[i] = u.pump(cfg.FramesPerSender)
-			}(i, u)
+				times[i] = fl.pump(cfg.FramesPerSender)
+			}(i, fl)
 		}
 		wg.Wait()
 		elapsed = time.Since(t0)
@@ -424,8 +392,9 @@ func RunDataPlaneLoad(cfg DataPlaneConfig) (DataPlaneResult, error) {
 	res.PumpFrames = pumpFrames - pumpStartFrames
 	res.PumpPackets = pumpPackets - pumpStartPackets
 	res.PumpBytes = pumpBytes - pumpStartBytes
-	res.PumpEncodes = sumEncodes() - pumpStartEncodes
-	res.PumpDelivered = sumDelivered() - pumpStartDelivered
+	pumpEncodes, pumpDelivered := sumFlows()
+	res.PumpEncodes = pumpEncodes - pumpStartEncodes
+	res.PumpDelivered = pumpDelivered - pumpStartDelivered
 	res.ElapsedMicros = elapsed.Microseconds()
 	if elapsed > 0 {
 		res.FramesPerSec = float64(res.PumpFrames) / elapsed.Seconds()

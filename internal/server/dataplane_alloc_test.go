@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -14,9 +15,9 @@ import (
 
 // allocHarness stands up a server on the counting sink transport (so the
 // measurement sees the emit path itself, not the simulator's event
-// scheduling) with one session playing the bench lesson, and returns a
-// time-sensitive sender plus the paced-clock handle.
-func allocHarness(t *testing.T) (*clock.Virtual, *sender) {
+// scheduling) with the given number of sessions playing the bench lesson,
+// and returns the flow carrying the first session's time-sensitive stream.
+func allocHarness(t *testing.T, sessions int, shared bool) *flow {
 	t.Helper()
 	clk := clock.NewSim()
 	net := newSinkNet()
@@ -30,56 +31,77 @@ func allocHarness(t *testing.T) (*clock.Virtual, *sender) {
 	if err := db.Put("lesson", hml.LessonSource("bench", 2, time.Minute), "load doc"); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New("srv", clk, net, users, db, Options{Capacity: 1e12})
+	srv, err := New("srv", clk, net, users, db, Options{Capacity: 1e12, SharedFlows: shared})
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := netsim.MakeAddr("load0", 6000)
-	net.Send(netsim.Packet{
-		From: client, To: netsim.MakeAddr("srv", ControlPort),
-		Payload:  protocol.MustEncode(protocol.MsgConnect, protocol.Connect{User: "bench", Password: "pw"}),
-		Reliable: true,
-	})
-	net.Send(netsim.Packet{
-		From: client, To: netsim.MakeAddr("srv", ControlPort),
-		Payload:  protocol.MustEncode(protocol.MsgDocRequest, protocol.DocRequest{Name: "lesson"}),
-		Reliable: true,
-	})
-	var sn *sender
-	sess, unlock := srv.lockedSession(client)
+	for i := 0; i < sessions; i++ {
+		client := netsim.MakeAddr(fmt.Sprintf("load%d", i), 6000)
+		net.Send(netsim.Packet{
+			From: client, To: netsim.MakeAddr("srv", ControlPort),
+			Payload:  protocol.MustEncode(protocol.MsgConnect, protocol.Connect{User: "bench", Password: "pw"}),
+			Reliable: true,
+		})
+		net.Send(netsim.Packet{
+			From: client, To: netsim.MakeAddr("srv", ControlPort),
+			Payload:  protocol.MustEncode(protocol.MsgDocRequest, protocol.DocRequest{Name: "lesson"}),
+			Reliable: true,
+		})
+	}
+	var fl *flow
+	sess, unlock := srv.lockedSession(netsim.MakeAddr("load0", 6000))
 	if sess != nil {
 		for _, snd := range sess.senders {
 			if snd.stream.Type.TimeSensitive() {
-				sn = snd
+				fl = snd.fl.Load()
 			}
 		}
 	}
 	unlock()
-	if sn == nil {
-		t.Fatal("no time-sensitive sender stood up")
+	if fl == nil {
+		t.Fatal("no time-sensitive stream stood up")
 	}
-	return clk, sn
+	return fl
 }
 
 // TestEmitPathAllocFree is the allocation regression gate of the zero-alloc
-// data plane: once the scratch buffer has grown and the packet pool is
-// primed (testing.AllocsPerRun's warm-up run), emitting a frame — QoS level
-// snapshot, payload synthesis, single-pass packet assembly, transport send —
-// must not allocate. One allocation of slack is allowed because a GC cycle
-// during the measurement may empty the sync.Pool.
+// data plane, for a private flow of one and for a registered flow fanned out
+// to two subscribers: once the scratch buffer has grown and the packet pool
+// is primed (testing.AllocsPerRun's warm-up run), emitting a frame — QoS
+// level snapshot, payload synthesis, single-pass packet assembly, transport
+// send — must not allocate. One allocation of slack is allowed because a GC
+// cycle during the measurement may empty the sync.Pool.
 func TestEmitPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under -race; allocation bounds don't hold")
 	}
-	_, sn := allocHarness(t)
-	avg := testing.AllocsPerRun(200, func() {
-		sn.mu.Lock()
-		sn.emitFrameLocked()
-		sn.mu.Unlock()
-	})
-	if avg > 1 {
-		t.Fatalf("emit path allocates %.2f objects/frame; the steady-state "+
-			"data plane must be allocation-free (pool refills excepted)", avg)
+	for _, tc := range []struct {
+		name     string
+		sessions int
+		shared   bool
+		subs     int
+	}{
+		{"private flow", 1, false, 1},
+		{"registered flow", 2, true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fl := allocHarness(t, tc.sessions, tc.shared)
+			fl.mu.Lock()
+			subs := len(fl.subs)
+			fl.mu.Unlock()
+			if subs != tc.subs {
+				t.Fatalf("flow has %d subscribers, want %d", subs, tc.subs)
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				fl.mu.Lock()
+				fl.emitFrameLocked()
+				fl.mu.Unlock()
+			})
+			if avg > 1 {
+				t.Fatalf("emit path allocates %.2f objects/frame; the steady-state "+
+					"data plane must be allocation-free (pool refills excepted)", avg)
+			}
+		})
 	}
 }
 

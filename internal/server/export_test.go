@@ -21,3 +21,11 @@ func (s *Server) dedupHas(addr netsim.Addr) bool {
 	_, ok := sh.dedup[string(addr)]
 	return ok
 }
+
+// rtpPackets returns the RTP packet count of the sender's current flow.
+func (sn *sender) rtpPackets() uint32 {
+	fl := sn.fl.Load()
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	return fl.rtpS.PacketCount()
+}

@@ -51,8 +51,8 @@ type Options struct {
 	// SharedFlows enables the fan-out layer: sessions requesting the same
 	// document attach as subscribers to one paced flow per time-sensitive
 	// stream — one encode and one packet assembly per frame regardless of
-	// the audience size (see sharedflow.go). Off by default: every session
-	// gets private senders, the pre-fan-out behavior.
+	// the audience size (see flow.go). Off by default: every stream is a
+	// private flow of one subscriber.
 	SharedFlows bool
 
 	// Directory, when set, is the cluster's placement/load view: it makes

@@ -324,9 +324,7 @@ func TestReloadResetsSenderCounters(t *testing.T) {
 	if busy == nil {
 		t.Fatal("no sender emitted anything before the reload")
 	}
-	busy.mu.Lock()
-	rtpBefore := busy.rtpS.PacketCount()
-	busy.mu.Unlock()
+	rtpBefore := busy.rtpPackets()
 	if rtpBefore == 0 {
 		t.Fatal("RTP layer recorded no packets before the reload")
 	}
@@ -337,9 +335,7 @@ func TestReloadResetsSenderCounters(t *testing.T) {
 	if st.frames != 0 || st.packets != 0 || st.bytes != 0 || st.skipped != 0 {
 		t.Fatalf("sender counters after reload = %+v, want all zero", st)
 	}
-	busy.mu.Lock()
-	rtpAfter := busy.rtpS.PacketCount()
-	busy.mu.Unlock()
+	rtpAfter := busy.rtpPackets()
 	if rtpAfter != 0 {
 		t.Fatalf("RTP packet count after reload = %d, want 0", rtpAfter)
 	}

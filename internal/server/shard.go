@@ -17,10 +17,10 @@ import (
 // lives in the shard of its *current* client address; the rare cross-shard
 // operation is a reattach that moves a session between addresses.
 //
-// Lock order (see also the sender.go data-plane note):
+// Lock order (see also the flow.go data-plane note):
 //
 //	shard.mu → shard.dmu   (same shard; never dmu → any mu)
-//	shard.mu → sn.mu       (control handlers may call sender methods)
+//	shard.mu → flowRegistry.mu → flow.mu   (control handlers call sender methods)
 //	shard.mu(i) → shard.mu(j) only with i < j (cross-shard reattach)
 //
 // Leaf locks (adm, users, qos managers, searchMu, annMu, peersMu) never

@@ -301,9 +301,10 @@ func TestSenderRestartReseedsPayloadTypeFromLevel(t *testing.T) {
 	// stale seed only shows in the window before the first post-reload frame
 	// — and for good on a stream that is disabled or cut off at reload time.
 	snd.restart(h.clk.Now())
-	snd.mu.Lock()
-	pt := snd.rtpS.PayloadType
-	snd.mu.Unlock()
+	fl := snd.fl.Load()
+	fl.mu.Lock()
+	pt := fl.rtpS.PayloadType
+	fl.mu.Unlock()
 	if pt != rtp.PTAVI {
 		t.Fatalf("restarted sender payload type = %d, want PTAVI (%d): restart reseeded from level 0", pt, rtp.PTAVI)
 	}
@@ -323,17 +324,18 @@ func TestSenderPauseResumeDisabledNoOp(t *testing.T) {
 	sess, unlock := h.srv.lockedSession(fakeClient)
 	snd := sess.sender("v")
 	unlock()
-	snd.mu.Lock()
-	origin0 := snd.origin
-	snd.mu.Unlock()
+	fl := snd.fl.Load()
+	fl.mu.Lock()
+	origin0 := fl.origin
+	fl.mu.Unlock()
 
 	h.send(protocol.MsgPause, protocol.MediaOp{})
 	h.clk.RunFor(5 * time.Second)
 	h.send(protocol.MsgResume, protocol.MediaOp{})
 
-	snd.mu.Lock()
-	origin1, paused := snd.origin, snd.paused
-	snd.mu.Unlock()
+	fl.mu.Lock()
+	origin1, paused := fl.origin, fl.paused
+	fl.mu.Unlock()
 	if paused {
 		t.Fatal("disabled sender left in paused state")
 	}
@@ -369,7 +371,7 @@ func TestSharedFlowConcurrentChurn(t *testing.T) {
 		}
 		sh.mu.Unlock()
 	}
-	var flows []*sharedFlow
+	var flows []*flow
 	h.srv.flows.mu.Lock()
 	for _, fl := range h.srv.flows.flows {
 		flows = append(flows, fl)
@@ -392,7 +394,7 @@ func TestSharedFlowConcurrentChurn(t *testing.T) {
 				case 1:
 					snd.resume()
 				case 2:
-					snd.detachShared()
+					snd.diverge()
 				case 3:
 					snd.restart(origin)
 				default:
@@ -403,7 +405,7 @@ func TestSharedFlowConcurrentChurn(t *testing.T) {
 	}
 	for _, fl := range flows {
 		wg.Add(1)
-		go func(fl *sharedFlow) {
+		go func(fl *flow) {
 			defer wg.Done()
 			for k := 0; k < 20; k++ {
 				fl.pump(10)

@@ -258,8 +258,8 @@ func (s *Server) queueRenegotiate(sess *session) {
 // the session's reservation is resized to the aggregate nominal rate of
 // its streams at their current quality levels ([KRI 94]-style service
 // renegotiation). The shard lock covers only the batch swap and the
-// sender-list snapshots; per-stream rates are read through each sender's
-// own lock and the admission pool has its own.
+// sender-list snapshots; per-stream rates are read under each stream's
+// flow lock and the admission pool has its own.
 func (s *Server) renegTick(si int) {
 	sh := &s.shards[si]
 	type item struct {
@@ -278,11 +278,7 @@ func (s *Server) renegTick(si int) {
 		if sh.byID[sess.id] != sess {
 			continue
 		}
-		it := item{snds: make([]*sender, 0, len(sess.senders)), connID: sess.connID}
-		for _, snd := range sess.senders {
-			it.snds = append(it.snds, snd)
-		}
-		items = append(items, it)
+		items = append(items, item{snds: append([]*sender(nil), sess.senders...), connID: sess.connID})
 	}
 	sh.mu.Unlock()
 	for _, it := range items {
