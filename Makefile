@@ -5,8 +5,13 @@
 # internal/server includes a connect/disconnect churn stress that drives
 # the sharded session state, dedup rings and timer wheels from concurrent
 # goroutines, and a shared-flow churn stress that hammers the flow
-# registry's attach/detach/pause/reload surface while the flows pump); the
+# registry's attach/fork/pause/reload surface while the flows pump); the
 # allocation regression tests in internal/server ride along in `test`.
+# Every paced stream is a flow: a private stream is a flow of one
+# subscriber, a shared one a registered flow of many. `check` also vets and
+# tests the viewer-path benchmark (viewerbench/, its own Go module, so the
+# root `go test ./...` skips it): its tests pin that probed and unprobed
+# runs are identical and that shared-flow fan-out goes through SendMulti.
 # `make chaos` runs the fault-injection suite on its own, with the pinned
 # seed and the race detector. `make bench-dataplane` measures the server
 # media data plane (with -benchmem allocation reporting) and writes
@@ -29,9 +34,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race chaos bench-dataplane bench-controlplane bench-cluster bench-netsim bench-verify
+.PHONY: check vet build test race viewerbench chaos bench-dataplane bench-controlplane bench-cluster bench-netsim bench-verify
 
-check: vet build test race bench-verify
+check: vet build test race viewerbench bench-verify
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +49,9 @@ test:
 
 race:
 	$(GO) test -race ./internal/clock/... ./internal/transport/... ./internal/netsim/... ./internal/obs/... ./internal/playout/... ./internal/client/... ./internal/server/... ./internal/media/... ./internal/rtp/... ./internal/cluster/...
+
+viewerbench:
+	cd viewerbench && $(GO) vet ./... && $(GO) test ./...
 
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/...
